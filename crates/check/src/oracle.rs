@@ -11,7 +11,10 @@
 //!   candidates — no scratch reuse, no epoch-stamped granted sets;
 //! * the worm's tail channel is released with a `Vec::remove(0)` shift —
 //!   no cursor;
-//! * source queues are plain `Vec`s popped from the front.
+//! * source queues are plain `Vec`s popped from the front;
+//! * every node's traffic source is polled every cycle and every source
+//!   queue is scanned for an injectable head — no arrival calendar, no
+//!   ready-source bitset.
 //!
 //! Keeping it this naive is the point: the oracle stays small enough to
 //! audit by eye, so when it and the optimized engine disagree, the

@@ -256,16 +256,20 @@ pub const VC_ALGORITHM_NAMES: &str = "\
 ///
 /// # Errors
 ///
-/// Returns a message listing the accepted names on any mismatch.
+/// Returns a message listing the accepted names on any mismatch, and
+/// names the required topology when a lane-based construction is not
+/// defined on `topo` (mad-y needs a 2D mesh, dateline a torus).
 pub fn parse_vc_algorithm(
     name: &str,
     topo: &dyn Topology,
 ) -> Result<Box<dyn VcRoutingAlgorithm>, ParseSpecError> {
-    Ok(match name {
+    let algo: Box<dyn VcRoutingAlgorithm> = match name {
         "mad-y" | "mady" => Box::new(MadY::new()),
         "dateline" => Box::new(DatelineDimensionOrder::new()),
-        other => Box::new(SingleClass::new(parse_algorithm(other, topo)?)),
-    })
+        other => return Ok(Box::new(SingleClass::new(parse_algorithm(other, topo)?))),
+    };
+    algo.check_topology(topo).map_err(err)?;
+    Ok(algo)
 }
 
 /// The pattern names the CLI accepts.
@@ -598,6 +602,18 @@ mod tests {
         let wrapped = parse_vc_algorithm("west-first", mesh.as_ref()).unwrap();
         assert_eq!(wrapped.name(), "west-first");
         assert!(parse_vc_algorithm("frobnicate", mesh.as_ref()).is_err());
+        // Lane-based constructions on the wrong topology are typed
+        // errors, not provisioning panics.
+        for (name, topo, needs) in [
+            ("mad-y", "torus:8,2", "2D mesh"),
+            ("mad-y", "mesh:4x4x4", "2D mesh"),
+            ("dateline", "mesh:8x8", "torus"),
+            ("dateline", "hypercube:3", "torus"),
+        ] {
+            let topo = parse_topology(topo).unwrap();
+            let e = parse_vc_algorithm(name, topo.as_ref()).err().unwrap();
+            assert!(e.to_string().contains(needs), "{name}: {e}");
+        }
     }
 
     #[test]

@@ -1006,6 +1006,21 @@ mod tests {
     }
 
     #[test]
+    fn vc_algorithms_on_the_wrong_topology_are_parse_errors() {
+        for (topology, algorithm) in [("torus:8,2", "mad-y"), ("mesh:6x6", "dateline")] {
+            let err = ExperimentSpec::builder(topology, "uniform")
+                .algorithm(algorithm)
+                .loads(&[0.02])
+                .config(quick())
+                .engine(Engine::VirtualChannel)
+                .build()
+                .unwrap_err();
+            assert_eq!(err.kind(), "parse", "{algorithm} on {topology}: {err}");
+            assert!(err.to_string().contains(algorithm), "{err}");
+        }
+    }
+
+    #[test]
     fn fault_plan_conflicts_are_rejected_as_typed_errors() {
         // The VC engine has no fault support.
         let err = ExperimentSpec::builder("mesh:6x6", "uniform")

@@ -257,6 +257,18 @@ fn invalid_submissions_get_typed_4xx_errors() {
     assert_eq!(status, 400);
     assert_eq!(kind_of(&body), "parse");
 
+    // A lane-based VC algorithm on a topology it is not defined on:
+    // rejected at submit, never a panic in the runner.
+    for (topology, algorithm) in [("torus:8,2", "mad-y"), ("mesh:6x6", "dateline")] {
+        let doc = format!(
+            r#"{{"topology": "{topology}", "pattern": "uniform", "engine": "vc",
+                "algorithms": ["{algorithm}"], "loads": [0.02]}}"#
+        );
+        let (status, body) = client::submit(&addr, &doc).unwrap();
+        assert_eq!(status, 400, "{algorithm} on {topology}");
+        assert_eq!(kind_of(&body), "parse");
+    }
+
     // Structural violation: loads out of order.
     let unsorted = small_spec().to_json().replacen("0.02,0.05", "0.05,0.02", 1);
     let (status, body) = client::submit(&addr, &unsorted).unwrap();

@@ -9,7 +9,7 @@ use crate::metrics::MetricsCollector;
 use crate::obs::{NoopObserver, SimObserver};
 use crate::packet::{Packet, PacketId, PacketState};
 use crate::patterns::TrafficPattern;
-use crate::traffic::TrafficSource;
+use crate::traffic::{ArrivalCalendar, TrafficSource};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use turnroute_core::RoutingAlgorithm;
@@ -153,7 +153,9 @@ pub struct Simulation<'a, O: SimObserver = NoopObserver> {
     pattern: &'a dyn TrafficPattern,
     config: SimConfig,
     rng: StdRng,
-    source: TrafficSource,
+    /// The traffic source behind its due-cycle calendar: generation
+    /// polls only the nodes with an event due.
+    arrivals: ArrivalCalendar,
     cycle: u64,
     packets: Vec<Packet>,
     /// Struct-of-arrays mirror of the packet fields the cycle kernel
@@ -166,6 +168,12 @@ pub struct Simulation<'a, O: SimObserver = NoopObserver> {
     queued_total: usize,
     /// Per-node packet currently streaming flits from the source.
     injecting: Vec<Option<PacketId>>,
+    /// Ready-source bitset (64 nodes per word): a node's bit is set
+    /// exactly when its queue is non-empty and `injecting` is `None`,
+    /// so the requester scan visits only nodes whose queue head can
+    /// request the injection channel. Updated by [`Self::refresh_ready`]
+    /// wherever either side of that condition changes.
+    ready: Vec<u64>,
     /// Per-node packet currently streaming flits into the local
     /// processor (the single ejection channel of the paper's router).
     ejecting: Vec<Option<PacketId>>,
@@ -285,7 +293,7 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
             pattern,
             config,
             rng,
-            source,
+            arrivals: ArrivalCalendar::new(source),
             cycle: 0,
             packets: Vec::new(),
             lanes: HotLanes {
@@ -298,6 +306,7 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
             queues: vec![VecDeque::new(); topo.num_nodes()],
             queued_total: 0,
             injecting: vec![None; topo.num_nodes()],
+            ready: vec![0; topo.num_nodes().div_ceil(64)],
             ejecting: vec![None; topo.num_nodes()],
             channel_owner: vec![None; topo.num_channels()],
             channel_busy: vec![0; topo.num_channels().div_ceil(64)],
@@ -431,6 +440,7 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
             .push(Packet::new(id, src, dst, length, self.cycle));
         self.lanes.push(src, dst, self.cycle);
         self.queues[src.index()].push_back(id);
+        self.refresh_ready(src.index());
         self.queued_total += 1;
         self.total_generated += 1;
         if self.in_window() {
@@ -440,7 +450,19 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         id
     }
 
-    /// Stops Poisson generation (used while draining).
+    /// Sets or clears `node`'s ready-source bit from its queue and
+    /// injection channel (see `Simulation::ready`).
+    #[inline]
+    fn refresh_ready(&mut self, node: usize) {
+        let bit = 1u64 << (node & 63);
+        if self.injecting[node].is_none() && !self.queues[node].is_empty() {
+            self.ready[node >> 6] |= bit;
+        } else {
+            self.ready[node >> 6] &= !bit;
+        }
+    }
+
+    /// Stops traffic generation, Poisson or MMPP (used while draining).
     pub fn disable_generation(&mut self) {
         self.generation_enabled = false;
     }
@@ -606,17 +628,20 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
         if !self.generation_enabled {
             return;
         }
-        // The messages buffer is detached from `self` for the loop so
-        // `inject_message` can borrow `self` mutably; source and RNG
-        // are disjoint fields.
-        let mut messages = std::mem::take(&mut self.scratch.messages);
+        // All arrival and length draws come first (node order), then
+        // all destination draws (message order).
+        let messages = &mut self.scratch.messages;
         messages.clear();
-        for node in 0..self.topo.num_nodes() {
-            let (source, rng) = (&mut self.source, &mut self.rng);
-            source.poll(node, self.cycle, rng, |len| {
+        self.arrivals
+            .poll_due(self.cycle, &mut self.rng, |node, len| {
                 messages.push((NodeId::new(node), len));
             });
+        if messages.is_empty() {
+            return;
         }
+        // Detached from `self` for the loop so `inject_message` can
+        // borrow `self` mutably.
+        let messages = std::mem::take(&mut self.scratch.messages);
         for &(src, len) in &messages {
             if let Some(dst) = self.pattern.dest(self.topo, src, &mut self.rng) {
                 self.inject_message(src, dst, len);
@@ -782,21 +807,33 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
     /// Appends the cycle's requesters whose head node index lies in
     /// `[lo, hi)`: in-flight headers not yet at their destination and
     /// not stranded, plus each node's queue head if the injection
-    /// channel is free. The serial path passes the full node range;
-    /// shards pass their partition. Order within `out` is in-flight
-    /// order then node order — the caller sorts (or shuffles) before
-    /// granting.
+    /// channel is free (the set bits of the ready-source bitset). The
+    /// serial path passes the full node range; shards pass their
+    /// partition. Order within `out` is in-flight order then ascending
+    /// node order — the caller sorts (or shuffles) before granting.
     fn collect_requesters(&self, lo: usize, hi: usize, out: &mut Vec<PacketId>) {
         out.extend(self.in_flight.iter().copied().filter(|&id| {
             let i = id.0 as usize;
             let head = self.lanes.head_node[i];
             (lo..hi).contains(&head.index()) && head != self.lanes.dst[i] && !self.lanes.stranded[i]
         }));
-        for node in lo..hi {
-            if self.injecting[node].is_none() {
-                if let Some(&head) = self.queues[node].front() {
-                    out.push(head);
-                }
+        if lo >= hi {
+            return;
+        }
+        for w in lo >> 6..=(hi - 1) >> 6 {
+            // Mask the word down to the nodes inside [lo, hi).
+            let base = w << 6;
+            let mut bits = self.ready[w];
+            if lo > base {
+                bits &= !0u64 << (lo - base);
+            }
+            if hi - base < 64 {
+                bits &= (1u64 << (hi - base)) - 1;
+            }
+            while bits != 0 {
+                let node = base + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                out.push(self.queues[node][0]);
             }
         }
     }
@@ -989,6 +1026,7 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
             debug_assert_eq!(front, Some(id));
             self.queued_total -= 1;
             self.injecting[node] = Some(id);
+            self.refresh_ready(node);
             self.packets[id.0 as usize].injected_at = Some(self.cycle);
             self.in_flight.push(id);
             let (src, dst, length) = {
@@ -1068,6 +1106,7 @@ impl<'a, O: SimObserver> Simulation<'a, O> {
                 let src = self.packets[idx].src.index();
                 if self.injecting[src] == Some(id) {
                     self.injecting[src] = None;
+                    self.refresh_ready(src);
                 }
             }
         } else if self.packets[idx].worm_head < self.packets[idx].worm.len() {
@@ -1314,6 +1353,62 @@ mod tests {
                 .filter(|&c| sim.channel_owner(ChannelId::new(c)).is_some())
                 .count();
             assert_eq!(owned, owners);
+        }
+    }
+
+    #[test]
+    fn ready_bitset_tracks_queues_and_injection_channels() {
+        // Past saturation with Random input selection: queues grow,
+        // injection channels stay busy for long worms, and generated
+        // traffic mixes with hand-injected messages. After every cycle
+        // the bitset must equal the naive "queue non-empty and
+        // injection channel free" scan, and the bitset-driven
+        // requester walk must equal the naive per-node walk over
+        // unaligned ranges. 12x12 spans three bitset words.
+        for (w, h) in [(8, 8), (12, 12)] {
+            let mesh = Mesh::new_2d(w, h);
+            let algo = WestFirst::minimal();
+            let config = SimConfig::paper()
+                .injection_rate(0.4)
+                .input_selection(InputSelection::Random)
+                .warmup_cycles(0)
+                .measure_cycles(0)
+                .deadlock_threshold(100_000)
+                .seed(31);
+            let mut sim = Simulation::new(&mesh, &algo, &Uniform, config);
+            let n = mesh.num_nodes();
+            let (mut saw_set, mut saw_blocked) = (false, false);
+            for cycle in 0..1_500usize {
+                if cycle % 5 == 0 {
+                    let src = NodeId::new(cycle * 7 % n);
+                    let dst = NodeId::new((cycle * 7 + 1 + cycle % (n - 1)) % n);
+                    if src != dst {
+                        sim.inject_message(src, dst, 1 + (cycle % 40) as u32);
+                    }
+                }
+                assert!(sim.step().is_none());
+                for node in 0..n {
+                    let naive = sim.injecting[node].is_none() && !sim.queues[node].is_empty();
+                    let bit = sim.ready[node >> 6] & (1 << (node & 63)) != 0;
+                    assert_eq!(bit, naive, "{w}x{h} node {node} after cycle {cycle}");
+                    saw_set |= bit;
+                    saw_blocked |= sim.injecting[node].is_some() && !sim.queues[node].is_empty();
+                }
+                for (lo, hi) in [(0, n), (0, 23), (23, 64.min(n)), (50, n), (63, 65.min(n))] {
+                    let mut walked = Vec::new();
+                    sim.collect_requesters(lo, hi, &mut walked);
+                    walked.retain(|&id| sim.packet(id).state() == PacketState::Queued);
+                    let naive: Vec<PacketId> = (lo..hi)
+                        .filter(|&node| sim.injecting[node].is_none())
+                        .filter_map(|node| sim.queues[node].front().copied())
+                        .collect();
+                    assert_eq!(walked, naive, "{w}x{h} range {lo}..{hi}");
+                }
+            }
+            assert!(
+                saw_set && saw_blocked,
+                "{w}x{h} never exercised both states"
+            );
         }
     }
 

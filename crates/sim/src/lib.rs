@@ -74,4 +74,4 @@ pub use obs::{
 pub use oplog::{Level, Logger};
 pub use packet::{Packet, PacketId, PacketState};
 pub use sweep::{sweep, SweepPoint, SweepSeries};
-pub use traffic::{MmppSource, PoissonSource, TrafficSource};
+pub use traffic::{ArrivalCalendar, MmppSource, PoissonSource, TrafficSource};

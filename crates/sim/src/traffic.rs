@@ -2,13 +2,20 @@
 //! the paper's bimodal lengths.
 //!
 //! [`TrafficSource`] is the single entry point both the optimized
-//! engine and the `turnroute-check` naive oracle construct — with the
+//! engines and the `turnroute-check` naive oracle construct — with the
 //! same arguments, in the same order — so the arrival/length RNG
 //! stream is bit-identical between them *by construction*. The source
 //! IS the specification of that stream: any change here changes both
 //! sides at once.
+//!
+//! The oracle polls every node every cycle. The engines wrap the source
+//! in an [`ArrivalCalendar`], which polls only the nodes with an event
+//! due; since a node that is not due draws nothing, both sides make the
+//! same draws in the same order, and the oracle comparison checks it.
 
 use crate::config::{LengthDistribution, SimConfig, TrafficModel};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use turnroute_rng::{split_mix_64, Rng, RngCore, StdRng};
 
 /// Per-node Poisson message source: inter-arrival times are drawn from a
@@ -63,6 +70,13 @@ impl PoissonSource {
         }
     }
 
+    /// The first cycle at which polling `node` would draw, or `None`
+    /// if it never will (generation disabled).
+    fn next_due(&self, node: usize) -> Option<u64> {
+        self.mean_interarrival?;
+        due_cycle(self.next_arrival[node])
+    }
+
     /// Draws a message length.
     pub fn sample_length(&self, rng: &mut dyn RngCore) -> u32 {
         match self.lengths {
@@ -82,6 +96,12 @@ impl PoissonSource {
 fn exponential(rng: &mut dyn RngCore, mean: f64) -> f64 {
     let u: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
     -u.ln() * mean
+}
+
+/// The first whole cycle `c` with `t <= c`, the cycle at which a poll
+/// first sees an event scheduled at `t`; `None` for an infinite `t`.
+fn due_cycle(t: f64) -> Option<u64> {
+    t.is_finite().then(|| t.ceil() as u64)
 }
 
 /// One node's lane of an [`MmppSource`]: its private RNG stream plus
@@ -224,6 +244,15 @@ impl MmppSource {
             }
         }
     }
+
+    /// The first cycle at which polling `node` would draw — its next
+    /// arrival or state toggle, whichever is sooner — or `None` if it
+    /// never will (generation disabled).
+    fn next_due(&self, node: usize) -> Option<u64> {
+        self.on_mean_interarrival?;
+        let lane = &self.lanes[node];
+        due_cycle(lane.next_arrival.min(lane.next_toggle))
+    }
 }
 
 /// Draws a message length from `lengths` using `rng`.
@@ -291,6 +320,95 @@ impl TrafficSource {
             TrafficSource::Poisson(src) => src.poll(node, cycle, rng, emit),
             TrafficSource::Mmpp(src) => src.poll(node, cycle, emit),
         }
+    }
+
+    /// The number of nodes the source generates for.
+    fn num_nodes(&self) -> usize {
+        match self {
+            TrafficSource::Poisson(src) => src.next_arrival.len(),
+            TrafficSource::Mmpp(src) => src.lanes.len(),
+        }
+    }
+
+    /// The first cycle at which [`TrafficSource::poll`] on `node` would
+    /// draw anything, or `None` if it never will.
+    fn next_due(&self, node: usize) -> Option<u64> {
+        match self {
+            TrafficSource::Poisson(src) => src.next_due(node),
+            TrafficSource::Mmpp(src) => src.next_due(node),
+        }
+    }
+}
+
+/// A [`TrafficSource`] behind a min-heap of `(due cycle, node)`, so a
+/// cycle's generation work scales with the events due rather than
+/// with the node count.
+///
+/// Each node with a finite next event (arrival, or MMPP state toggle)
+/// sits in the heap exactly once, keyed on the first cycle a poll would
+/// see that event. [`ArrivalCalendar::poll_due`] pops the nodes due,
+/// polls them in ascending node order and re-queues them. A node that
+/// is not due draws nothing when polled, so the calendar makes exactly
+/// the draws, in exactly the order, of polling every node every cycle —
+/// which is what the conformance oracle does.
+#[derive(Debug, Clone)]
+pub struct ArrivalCalendar {
+    source: TrafficSource,
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    /// The heap's earliest due cycle (`u64::MAX` when empty), cached so
+    /// a cycle with nothing due reads one field.
+    next_due: u64,
+    /// Nodes popped this cycle, kept across cycles for its capacity.
+    due: Vec<usize>,
+}
+
+impl ArrivalCalendar {
+    /// Queues every node of `source` that has a next event.
+    pub fn new(source: TrafficSource) -> Self {
+        let heap: BinaryHeap<_> = (0..source.num_nodes())
+            .filter_map(|node| source.next_due(node).map(|due| Reverse((due, node))))
+            .collect();
+        ArrivalCalendar {
+            source,
+            next_due: Self::earliest(&heap),
+            heap,
+            due: Vec::new(),
+        }
+    }
+
+    fn earliest(heap: &BinaryHeap<Reverse<(u64, usize)>>) -> u64 {
+        heap.peek().map_or(u64::MAX, |&Reverse((due, _))| due)
+    }
+
+    /// Calls `emit(node, length)` once per message generated up to and
+    /// including `cycle`, nodes in ascending order: the same calls, and
+    /// the same draws from `rng`, as [`TrafficSource::poll`] on every
+    /// node in turn.
+    pub fn poll_due(
+        &mut self,
+        cycle: u64,
+        rng: &mut dyn RngCore,
+        mut emit: impl FnMut(usize, u32),
+    ) {
+        if cycle < self.next_due {
+            return;
+        }
+        while let Some(&Reverse((due, node))) = self.heap.peek() {
+            if due > cycle {
+                break;
+            }
+            self.heap.pop();
+            self.due.push(node);
+        }
+        self.due.sort_unstable();
+        for &node in &self.due {
+            self.source.poll(node, cycle, rng, |len| emit(node, len));
+            if let Some(due) = self.source.next_due(node) {
+                self.heap.push(Reverse((due, node)));
+            }
+        }
+        self.due.clear();
+        self.next_due = Self::earliest(&self.heap);
     }
 }
 
@@ -454,6 +572,99 @@ mod tests {
         assert!(matches!(mmpp, TrafficSource::Mmpp(_)));
         // MMPP construction must not consume the shared stream.
         assert_eq!(rng2.next_u64(), before);
+    }
+
+    /// The `(cycle, node, length)` messages of a run and the next draws
+    /// of its shared stream afterwards.
+    type PollRun = (Vec<(u64, usize, u32)>, [u64; 4]);
+
+    /// Runs `cycles` cycles of `config`'s traffic over `nodes` nodes
+    /// twice — once polling every node every cycle, once through an
+    /// [`ArrivalCalendar`] — with a shared-stream draw after each cycle
+    /// standing in for the engine's destination draws. Returns both
+    /// `(cycle, node, length)` sequences and the next few draws of each
+    /// shared stream afterwards.
+    fn calendar_vs_full_poll(nodes: usize, config: &SimConfig, cycles: u64) -> [PollRun; 2] {
+        let tail = |rng: &mut StdRng| std::array::from_fn(|_| rng.next_u64());
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut source = TrafficSource::for_config(nodes, config, &mut rng);
+        let mut full = Vec::new();
+        for cycle in 0..cycles {
+            for node in 0..nodes {
+                source.poll(node, cycle, &mut rng, |len| full.push((cycle, node, len)));
+            }
+            rng.next_u64();
+        }
+        let full_tail = tail(&mut rng);
+
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut calendar = ArrivalCalendar::new(TrafficSource::for_config(nodes, config, &mut rng));
+        let mut popped = Vec::new();
+        for cycle in 0..cycles {
+            calendar.poll_due(cycle, &mut rng, |node, len| popped.push((cycle, node, len)));
+            rng.next_u64();
+        }
+        let popped_tail = tail(&mut rng);
+        [(full, full_tail), (popped, popped_tail)]
+    }
+
+    #[test]
+    fn calendar_matches_polling_every_node() {
+        let mmpp = TrafficModel::Mmpp {
+            burst_cycles: 12.0,
+            idle_cycles: 30.0,
+        };
+        let lengths = LengthDistribution::Bimodal { short: 3, long: 9 };
+        for seed in [1, 7, 42, 0xDEAD_BEEF] {
+            for traffic in [TrafficModel::Poisson, mmpp] {
+                // Load 4 flits/node/cycle with lengths averaging 6
+                // puts the mean inter-arrival at 1.5 cycles (0.5 while
+                // an MMPP node is ON), so nodes emit several messages
+                // in one cycle and share due cycles with each other;
+                // 0.01 is sparse enough that most cycles pop nothing.
+                for load in [4.0, 0.01] {
+                    let config = SimConfig::paper()
+                        .lengths(lengths)
+                        .injection_rate(load)
+                        .traffic(traffic)
+                        .seed(seed);
+                    let [(full, full_tail), (popped, popped_tail)] =
+                        calendar_vs_full_poll(16, &config, 3_000);
+                    assert!(!full.is_empty(), "seed {seed} {traffic:?} load {load}");
+                    assert_eq!(popped, full, "seed {seed} {traffic:?} load {load}");
+                    assert_eq!(popped_tail, full_tail, "seed {seed} {traffic:?}");
+                    if load > 1.0 {
+                        let same_cycle_node = full
+                            .windows(2)
+                            .any(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1));
+                        let same_cycle_nodes = full
+                            .windows(2)
+                            .any(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1);
+                        assert!(same_cycle_node && same_cycle_nodes, "{traffic:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn calendar_queues_nothing_at_zero_rate() {
+        for traffic in [
+            TrafficModel::Poisson,
+            TrafficModel::Mmpp {
+                burst_cycles: 5.0,
+                idle_cycles: 5.0,
+            },
+        ] {
+            let config = SimConfig::paper().injection_rate(0.0).traffic(traffic);
+            assert_eq!(config.mean_interarrival_cycles(), None);
+            let mut rng = StdRng::seed_from_u64(3);
+            let calendar = ArrivalCalendar::new(TrafficSource::for_config(8, &config, &mut rng));
+            assert!(calendar.heap.is_empty(), "{traffic:?}");
+            let [(full, full_tail), (popped, popped_tail)] = calendar_vs_full_poll(8, &config, 500);
+            assert!(full.is_empty() && popped.is_empty());
+            assert_eq!(popped_tail, full_tail);
+        }
     }
 
     #[test]

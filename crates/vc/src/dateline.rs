@@ -49,11 +49,21 @@ impl VcRoutingAlgorithm for DatelineDimensionOrder {
         "dateline-dimension-order".to_owned()
     }
 
+    fn check_topology(&self, topo: &dyn Topology) -> Result<(), String> {
+        if (0..topo.num_dims()).all(|d| topo.wraps(d)) {
+            Ok(())
+        } else {
+            Err(format!(
+                "'dateline' requires a torus topology, not {}",
+                topo.label()
+            ))
+        }
+    }
+
     fn provisioning(&self, topo: &dyn Topology) -> Vec<u8> {
-        assert!(
-            (0..topo.num_dims()).all(|d| topo.wraps(d)),
-            "dateline routing targets tori"
-        );
+        if let Err(e) = self.check_topology(topo) {
+            panic!("{e}");
+        }
         vec![2; topo.num_dims()]
     }
 

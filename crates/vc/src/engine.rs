@@ -16,7 +16,8 @@ use std::collections::VecDeque;
 use turnroute_rng::StdRng;
 use turnroute_sim::patterns::TrafficPattern;
 use turnroute_sim::{
-    DeadlockReport, MetricsCollector, RunOutcome, SimConfig, SimReport, TrafficSource,
+    ArrivalCalendar, DeadlockReport, MetricsCollector, RunOutcome, SimConfig, SimReport,
+    TrafficSource,
 };
 use turnroute_topology::{NodeId, Topology};
 
@@ -103,7 +104,10 @@ pub struct VcSimulation<'a> {
     pattern: &'a dyn TrafficPattern,
     config: SimConfig,
     rng: StdRng,
-    source: TrafficSource,
+    arrivals: ArrivalCalendar,
+    /// This cycle's generated `(source, length)` messages, kept across
+    /// cycles for its capacity.
+    messages: Vec<(NodeId, u32)>,
     cycle: u64,
     packets: Vec<VcPacket>,
     queues: Vec<VecDeque<VcPacketId>>,
@@ -136,7 +140,8 @@ impl<'a> VcSimulation<'a> {
             pattern,
             config,
             rng,
-            source,
+            arrivals: ArrivalCalendar::new(source),
+            messages: Vec::new(),
             cycle: 0,
             packets: Vec::new(),
             queues: vec![VecDeque::new(); topo.num_nodes()],
@@ -215,20 +220,18 @@ impl<'a> VcSimulation<'a> {
         if !self.generation_enabled {
             return;
         }
-        let mut new_messages: Vec<(NodeId, u32)> = Vec::new();
-        for node in 0..self.topo.num_nodes() {
-            let (source, rng) = (&mut self.source, &mut self.rng);
-            let mut lengths = Vec::new();
-            source.poll(node, self.cycle, rng, |len| lengths.push(len));
-            for len in lengths {
-                new_messages.push((NodeId::new(node), len));
-            }
-        }
-        for (src, len) in new_messages {
+        let mut messages = std::mem::take(&mut self.messages);
+        messages.clear();
+        self.arrivals
+            .poll_due(self.cycle, &mut self.rng, |node, len| {
+                messages.push((NodeId::new(node), len));
+            });
+        for &(src, len) in &messages {
             if let Some(dst) = self.pattern.dest(self.topo, src, &mut self.rng) {
                 self.inject_message(src, dst, len);
             }
         }
+        self.messages = messages;
     }
 
     /// Free permitted lanes for a header, in lane-priority order.

@@ -69,12 +69,21 @@ impl VcRoutingAlgorithm for MadY {
         "mad-y".to_owned()
     }
 
+    fn check_topology(&self, topo: &dyn Topology) -> Result<(), String> {
+        if topo.num_dims() == 2 && !topo.wraps(0) && !topo.wraps(1) {
+            Ok(())
+        } else {
+            Err(format!(
+                "'mad-y' requires a 2D mesh topology, not {}",
+                topo.label()
+            ))
+        }
+    }
+
     fn provisioning(&self, topo: &dyn Topology) -> Vec<u8> {
-        assert_eq!(topo.num_dims(), 2, "mad-y is a 2D-mesh algorithm");
-        assert!(
-            !topo.wraps(0) && !topo.wraps(1),
-            "mad-y is a mesh algorithm"
-        );
+        if let Err(e) = self.check_topology(topo) {
+            panic!("{e}");
+        }
         vec![1, 2]
     }
 

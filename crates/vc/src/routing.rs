@@ -12,7 +12,21 @@ pub trait VcRoutingAlgorithm: Send + Sync {
     /// A short name for tables and plots.
     fn name(&self) -> String;
 
+    /// Checks that the algorithm is defined on `topo`; the `Err`
+    /// message says what it needs. Spec parsing calls this so a
+    /// mismatch is a typed error rather than a panic in
+    /// [`VcRoutingAlgorithm::provisioning`]. Defaults to `Ok`.
+    fn check_topology(&self, topo: &dyn Topology) -> Result<(), String> {
+        let _ = topo;
+        Ok(())
+    }
+
     /// The lane provisioning this algorithm needs on `topo`.
+    ///
+    /// # Panics
+    ///
+    /// May panic if [`VcRoutingAlgorithm::check_topology`] rejects
+    /// `topo`.
     fn provisioning(&self, topo: &dyn Topology) -> Vec<u8>;
 
     /// The virtual directions the header may take next. Must be empty

@@ -33,6 +33,13 @@ cargo test -q -p turnroute-serve --test server_integration
 echo "==> cargo bench --no-run (bench targets must compile)"
 cargo bench --workspace --no-run --quiet
 
+echo "==> perfbench clippy + tests (own [workspace]: --workspace never builds it)"
+# The benchmark drives the engine through its public API; building and
+# testing it here catches an API change that would break the benchmark.
+# No fmt --check: perfbench/src/host.rs is not rustfmt-clean.
+cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "==> traffic smoke (MMPP + trace pattern, bytes identical at 1 vs 8 threads)"
 # Bursty arrivals and trace-driven destinations draw all injection
 # randomness from per-node nested streams, so the sweep report must be

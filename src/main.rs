@@ -113,6 +113,9 @@ the default server address is 127.0.0.1:7453.";
 /// The default `HOST:PORT` for `serve` and the client subcommands.
 const DEFAULT_ADDR: &str = "127.0.0.1:7453";
 
+/// Every error is reported with the usage text and exit status 2, the
+/// conventional status for a command line that cannot be carried out;
+/// a panic (status 101) is always a bug.
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -121,7 +124,7 @@ fn main() -> ExitCode {
             eprintln!("error: {message}");
             eprintln!();
             eprintln!("{USAGE}");
-            ExitCode::FAILURE
+            ExitCode::from(2)
         }
     }
 }

@@ -26,6 +26,39 @@ fn stderr(out: &Output) -> String {
 }
 
 #[test]
+fn vc_algorithms_on_the_wrong_topology_exit_2_without_panicking() {
+    for (topology, algorithm, needs) in [
+        ("torus:8,2", "mad-y", "requires a 2D mesh"),
+        ("mesh:8x8", "dateline", "requires a torus"),
+    ] {
+        let out = turnroute(&[
+            "sweep",
+            "--engine",
+            "vc",
+            "--algorithms",
+            algorithm,
+            "--topology",
+            topology,
+            "--pattern",
+            "uniform",
+            "--loads",
+            "0.02",
+            "--cycles",
+            "200",
+        ]);
+        let err = stderr(&out);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{algorithm} on {topology}: {err}"
+        );
+        assert!(err.starts_with("error:"), "{err}");
+        assert!(err.contains(needs), "{algorithm} on {topology}: {err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
+}
+
+#[test]
 fn one_by_k_mesh_simulates_as_a_line() {
     let out = turnroute(&[
         "simulate",
